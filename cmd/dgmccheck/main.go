@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"time"
@@ -170,7 +171,10 @@ func run(args []string, w io.Writer) error {
 			res.Stats.Probes, res.Stats.ProbeSteps)
 	}
 	printSuspects(w, res)
-	if res.Stats.Truncated {
+	if res.Stats.MemoryLimited {
+		fmt.Fprintf(w, "WARNING: search truncated: memory use passed the Go memory limit (GOMEMLIMIT=%d bytes); absence of violations is not exhaustive\n",
+			debug.SetMemoryLimit(-1))
+	} else if res.Stats.Truncated {
 		fmt.Fprintf(w, "WARNING: search truncated by depth/state/budget bounds; absence of violations is not exhaustive\n")
 	} else if searchMode == "exhaustive" {
 		fmt.Fprintf(w, "no invariant violations: every reachable interleaving converges\n")

@@ -60,32 +60,36 @@ func TestThreeDaemonAdminSurfaces(t *testing.T) {
 		}
 	}
 
+	// The second join waits until every daemon has installed the first:
+	// concurrent joins may resolve through a proposal attributed to the
+	// other event's chain, and chain 0/1 would then miss an install.
 	var out strings.Builder
-	if _, err := daemons[0].exec("join 7 both", &out); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := daemons[2].exec("join 7 both", &out); err != nil {
-		t.Fatal(err)
-	}
-
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		agreed := true
-		for _, d := range daemons {
-			snap, ok := d.node.Connection(7)
-			if !ok || len(snap.Members) != 2 || snap.Topology == nil ||
-				!snap.R.Equal(snap.C) || !snap.R.Geq(snap.E) {
-				agreed = false
+	for _, step := range []struct {
+		d       *daemon
+		members int
+	}{{daemons[0], 1}, {daemons[2], 2}} {
+		if _, err := step.d.exec("join 7 both", &out); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(15 * time.Second)
+		for {
+			agreed := true
+			for _, d := range daemons {
+				snap, ok := d.node.Connection(7)
+				if !ok || len(snap.Members) != step.members || snap.Topology == nil ||
+					!snap.R.Equal(snap.C) || !snap.R.Geq(snap.E) {
+					agreed = false
+					break
+				}
+			}
+			if agreed {
 				break
 			}
+			if time.Now().After(deadline) {
+				t.Fatalf("daemons did not agree on %d member(s) of conn 7 within 15s", step.members)
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
-		if agreed {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("daemons did not agree on conn 7 within 15s")
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 
 	// /metrics: Prometheus text with live protocol counters on every daemon.

@@ -6,6 +6,7 @@ import (
 
 	"dgmc/internal/lsa"
 	"dgmc/internal/mctree"
+	"dgmc/internal/stamp"
 	"dgmc/internal/topo"
 )
 
@@ -17,13 +18,15 @@ import (
 // protocol state hash equal and the explorer can deduplicate them.
 
 // CloneWith returns a deep copy of the machine bound to host. The copy
-// shares nothing mutable with the original: the unicast image, every
-// connection's timestamps, member list, out-of-order buffer, and replay log
-// are copied. Immutable values — installed topologies, logged LSAs, the
+// shares nothing mutable with the original: the unicast staleness state,
+// every connection's timestamps, member list, out-of-order buffer, and
+// replay log are copied. Immutable values — the unicast image and routing
+// table, the sorted connection list, installed topologies, logged LSAs, the
 // algorithm, the kind table — are shared by pointer, matching the
 // protocol's own treatment of them (a flooded LSA or installed tree is
 // never modified in place). Metrics are copied by value so the clone
-// counts independently.
+// counts independently. CloneWith only reads the original, so concurrent
+// clones of one machine are safe.
 func (m *Machine) CloneWith(host Host) *Machine {
 	metrics := *m.metrics
 	c := &Machine{
@@ -31,6 +34,7 @@ func (m *Machine) CloneWith(host Host) *Machine {
 		host:      host,
 		uni:       m.uni.Clone(),
 		conns:     make(map[lsa.ConnID]*connState, len(m.conns)),
+		ids:       m.ids,
 		n:         m.n,
 		alg:       m.alg,
 		kinds:     m.kinds,
@@ -109,9 +113,25 @@ func (m *Machine) ResyncGaveUp(conn lsa.ConnID) bool {
 
 // AllConnections lists every connection ID the switch holds state for,
 // including dormant ones, in ascending order. Connections() hides dormant
-// state on purpose; checkers need the counters that survive it.
+// state on purpose; checkers need the counters that survive it. The slice
+// is the machine's own and is replaced, not modified, when a connection is
+// added: callers must not modify it.
 func (m *Machine) AllConnections() []lsa.ConnID {
-	return sortedConnIDs(m.conns)
+	return m.ids
+}
+
+// Stamps returns conn's R, E, and C timestamps without copying them, or
+// ok=false if the switch holds no state for conn. The stamps are the
+// machine's own: callers must only read them, and only until the next call
+// that changes the machine. Checkers that inspect every connection after
+// every transition use it instead of Connection, which copies the member
+// list and topology as well.
+func (m *Machine) Stamps(conn lsa.ConnID) (r, e, c stamp.Stamp, ok bool) {
+	cs, ok := m.conns[conn]
+	if !ok {
+		return nil, nil, nil, false
+	}
+	return cs.r, cs.e, cs.c, true
 }
 
 // AppendState appends a canonical encoding of the machine's protocol state
@@ -126,9 +146,8 @@ func (m *Machine) AllConnections() []lsa.ConnID {
 func (m *Machine) AppendState(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(int32(m.id)))
 	buf = m.uni.AppendState(buf)
-	ids := sortedConnIDs(m.conns)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(ids)))
-	for _, id := range ids {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.ids)))
+	for _, id := range m.ids {
 		buf = m.conns[id].appendState(buf)
 	}
 	return buf

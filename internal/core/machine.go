@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"dgmc/internal/flood"
@@ -218,6 +219,11 @@ type Machine struct {
 	resyncMax int
 	metrics   *Metrics
 	mutation  Mutation
+
+	// ids lists the keys of conns in ascending order. It is replaced, never
+	// modified, when a connection is added, so clones share it and loops
+	// over it are unaffected by additions they cause.
+	ids []lsa.ConnID
 }
 
 // NewMachine builds a switch's protocol state machine bound to host.
@@ -278,7 +284,7 @@ func (m *Machine) Unicast() *lsr.Instance { return m.uni }
 // The members map and tree are the machine's own — fn must only read them
 // and must not retain them beyond the call.
 func (m *Machine) ForwardingState(fn func(conn lsa.ConnID, kind mctree.Kind, members mctree.Members, t *mctree.Tree)) {
-	for _, id := range sortedConnIDs(m.conns) {
+	for _, id := range m.ids {
 		cs := m.conns[id]
 		if cs.dormant {
 			continue
@@ -328,6 +334,10 @@ func (m *Machine) conn(id lsa.ConnID) *connState {
 	if !ok {
 		cs = newConnState(id, m.kindOf(id), m.n)
 		m.conns[id] = cs
+		// Clipping makes Insert build a new array: the old one may be
+		// shared with clones.
+		at, _ := slices.BinarySearch(m.ids, id)
+		m.ids = slices.Insert(slices.Clip(m.ids), at, id)
 	}
 	return cs
 }
@@ -393,7 +403,7 @@ func (m *Machine) HandleLocalEvent(ctx any, ev LocalEvent) {
 // signal a link event (re-converging the network) only when the installed
 // tree deviates from the fresh one by more than the configured threshold.
 func (m *Machine) reoptimize(ctx any) {
-	for _, id := range sortedConnIDs(m.conns) {
+	for _, id := range m.ids {
 		cs := m.conns[id]
 		if cs.dormant || cs.topology == nil || len(cs.members) < 2 {
 			continue
@@ -425,23 +435,10 @@ func (m *Machine) reoptimize(ctx any) {
 // changed link, in ascending connection order for determinism.
 func (m *Machine) affectedConns(change lsa.LinkChange) []*connState {
 	var out []*connState
-	for _, id := range sortedConnIDs(m.conns) {
+	for _, id := range m.ids {
 		cs := m.conns[id]
 		if cs.topology != nil && cs.topology.Has(change.A, change.B) {
 			out = append(out, cs)
-		}
-	}
-	return out
-}
-
-func sortedConnIDs(m map[lsa.ConnID]*connState) []lsa.ConnID {
-	out := make([]lsa.ConnID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
 		}
 	}
 	return out

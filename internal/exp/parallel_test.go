@@ -1,10 +1,12 @@
 package exp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -46,6 +48,14 @@ func TestParallelMapUsesWorkers(t *testing.T) {
 	if maxWorkers < 2 {
 		t.Skip("single-CPU machine")
 	}
+	// Rendezvous: every call waits inside f until a second worker has
+	// entered f too, so overlap does not depend on how long f runs. The
+	// timeout keeps a pool that never overlaps from hanging the test; it
+	// then fails on the peak below.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	overlapped := make(chan struct{})
+	var once sync.Once
 	var inFlight, peak atomic.Int64
 	_, err := parallelMap(maxWorkers*4, func(i int) (int, error) {
 		cur := inFlight.Add(1)
@@ -56,9 +66,12 @@ func TestParallelMapUsesWorkers(t *testing.T) {
 				break
 			}
 		}
-		// Busy-wait a little so workers overlap.
-		for j := 0; j < 1_000_000; j++ {
-			_ = j
+		if cur >= 2 {
+			once.Do(func() { close(overlapped) })
+		}
+		select {
+		case <-overlapped:
+		case <-ctx.Done():
 		}
 		return i, nil
 	})

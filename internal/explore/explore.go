@@ -25,6 +25,25 @@
 // violation yields a schedule that replays byte-for-byte (see Token) and
 // shrinks to a minimal counterexample (see Shrink).
 //
+// State sharing. Branching a world copies only what one transition can
+// write in place — the pending, held and timer lists — and shares the
+// rest with the source world:
+//
+//   - Graphs are immutable values. The fabric graph and every machine's
+//     lsr image are replaced by a modified copy when a link changes
+//     (worldHost.FabricLinkChanged, lsr.Instance.HandleLSA), never edited.
+//   - Machines are copy-on-write. Every call that can change a machine or
+//     reach its host goes through World.mut, which clones a shared machine
+//     bound to the writing world on its first write and drops the
+//     machine's cached AppendState encoding; hash reuses the cached
+//     encodings of the machines a transition did not touch. The callers
+//     are apply (inject, deliver, fire) and applyFault (heal
+//     reconciliation, restart); a crash installs a fresh machine.
+//   - Clones never write their source. core.Machine.CloneWith and
+//     lsr.Instance.Clone only read the original: live snapshots in
+//     internal/rt clone machines too, and one snapshot may be restored
+//     into several nodes concurrently.
+//
 // What is deliberately *not* a choice point: the duration of a topology
 // computation. Machine calls are atomic here (Host.HoldCompute is a no-op),
 // so the Tc-induced races of the timed implementation — a computation
@@ -34,10 +53,14 @@
 package explore
 
 import (
+	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
+	"sync"
 
 	"dgmc/internal/core"
 	"dgmc/internal/faults"
@@ -148,10 +171,12 @@ func (s *Scenario) validate(g *topo.Graph) error {
 // pendingMsg is one in-flight message: a flooded LSA copy addressed to one
 // destination, a unicast resync message, or a self-addressed nudge.
 type pendingMsg struct {
-	id       int
-	to       topo.SwitchID
-	origin   topo.SwitchID
-	payload  any
+	id      int
+	to      topo.SwitchID
+	payload any
+	// enc is encodePayload(payload), computed once when the payload is
+	// sent and shared, read-only, by every copy of the message.
+	enc      []byte
 	duped    bool // already split once; no further Dup branch
 	internal bool // self-nudge: not subject to network faults
 }
@@ -186,13 +211,26 @@ type action struct {
 // World is one global state of the system under exploration: every
 // machine's protocol state, the shared fabric graph, and the pending
 // action set. Worlds are cloned to branch at choice points.
+//
+// A clone shares state with its source instead of copying it (see clone):
+// the graph, every machine until the clone first writes it, and the
+// rarely-written bookkeeping below are shared values that a write replaces
+// rather than modifies. A world and its clones belong to one goroutine.
 type World struct {
 	cfg Config
 	scn Scenario
 	n   int
 
-	graph    *topo.Graph
+	// graph is immutable: FabricLinkChanged installs a modified copy.
+	graph *topo.Graph
+	// machines[s] may be shared with the world this one was cloned from
+	// and with its other clones; owned[s] reports that this world alone
+	// holds it, so it may be modified in place. Every write goes through
+	// mut. encs[s] caches machines[s].AppendState (nil until hash needs it)
+	// and is dropped by mut.
 	machines []*core.Machine
+	owned    []bool
+	encs     [][]byte
 
 	// injectsBySwitch[s] indexes scn.Injects in program order for switch
 	// s; injectPos[s] is the next one to fire.
@@ -203,6 +241,8 @@ type World struct {
 	// per originating switch (ground truth for event conservation).
 	injectedMembership map[lsa.ConnID][]int
 
+	// pending, held and timers are edited in place, so clone copies them;
+	// every other slice and map below is shared and replaced on write.
 	pending []pendingMsg
 	// held parks frames sent across an active partition: the transport's
 	// forwarding/retry machinery would deliver them once connectivity
@@ -258,6 +298,8 @@ func NewWorld(cfg Config, scn Scenario) (*World, error) {
 		n:                  n,
 		graph:              cfg.Graph.Clone(),
 		machines:           make([]*core.Machine, n),
+		owned:              make([]bool, n),
+		encs:               make([][]byte, n),
 		injectsBySwitch:    make([][]int, n),
 		injectPos:          make([]int, n),
 		injectedMembership: make(map[lsa.ConnID][]int),
@@ -284,52 +326,64 @@ func NewWorld(cfg Config, scn Scenario) (*World, error) {
 			return nil, err
 		}
 		w.machines[i] = m
+		w.owned[i] = true
 	}
 	return w, nil
 }
 
-// clone branches the world. Traces are not inherited: clones explore
-// silently, and violating schedules are replayed with tracing on.
+// clone branches the world. It copies only the pending, held and timer
+// lists and the per-machine slot slices; machines, their cached encodings,
+// the graph and the remaining bookkeeping are shared until one side writes
+// them. Both worlds lose ownership of every machine, so whichever writes a
+// machine first takes its own copy (see mut). Traces are not inherited:
+// clones explore silently, and violating schedules are replayed with
+// tracing on.
 func (w *World) clone() *World {
 	c := &World{
-		cfg:             w.cfg,
-		scn:             w.scn,
-		n:               w.n,
-		graph:           w.graph.Clone(),
-		machines:        make([]*core.Machine, w.n),
-		injectsBySwitch: w.injectsBySwitch, // immutable after NewWorld
-		injectPos:       append([]int(nil), w.injectPos...),
-		pending:         append([]pendingMsg(nil), w.pending...),
-		held:            append([]pendingMsg(nil), w.held...),
-		timers:          append([]timer(nil), w.timers...),
-		dropsLeft:       w.dropsLeft,
-		dupsLeft:        w.dupsLeft,
-		nextMsgID:       w.nextMsgID,
-		installs:        w.installs,
-		faultPos:        w.faultPos,
-		crashed:         append([]bool(nil), w.crashed...),
-		crashedOnce:     append([]bool(nil), w.crashedOnce...),
-		crashedEver:     w.crashedEver,
+		cfg:                w.cfg,
+		scn:                w.scn,
+		n:                  w.n,
+		graph:              w.graph,
+		machines:           append([]*core.Machine(nil), w.machines...),
+		owned:              make([]bool, w.n),
+		encs:               append([][]byte(nil), w.encs...),
+		injectsBySwitch:    w.injectsBySwitch,
+		injectPos:          w.injectPos,
+		injectedMembership: w.injectedMembership,
+		pending:            append([]pendingMsg(nil), w.pending...),
+		held:               append([]pendingMsg(nil), w.held...),
+		timers:             append([]timer(nil), w.timers...),
+		dropsLeft:          w.dropsLeft,
+		dupsLeft:           w.dupsLeft,
+		nextMsgID:          w.nextMsgID,
+		installs:           w.installs,
+		faultPos:           w.faultPos,
+		side:               w.side,
+		crashed:            w.crashed,
+		crashedOnce:        w.crashedOnce,
+		crashedEver:        w.crashedEver,
+		ownHigh:            w.ownHigh,
 	}
-	if w.side != nil {
-		c.side = append([]int(nil), w.side...)
-	}
-	c.ownHigh = make(map[lsa.ConnID][]uint32, len(w.ownHigh))
-	for conn, hw := range w.ownHigh {
-		c.ownHigh[conn] = append([]uint32(nil), hw...)
-	}
-	c.injectedMembership = make(map[lsa.ConnID][]int, len(w.injectedMembership))
-	for conn, counts := range w.injectedMembership {
-		c.injectedMembership[conn] = append([]int(nil), counts...)
-	}
-	for i, m := range w.machines {
-		c.machines[i] = m.CloneWith(&worldHost{w: c, id: topo.SwitchID(i)})
-	}
+	clear(w.owned)
 	return c
 }
 
+// mut returns switch s's machine for writing. The first write to a machine
+// the world shares replaces it with a private copy bound to this world;
+// every write drops the machine's cached encoding. Every call into a
+// machine that can change it or reach its host goes through mut.
+func (w *World) mut(s topo.SwitchID) *core.Machine {
+	if !w.owned[s] {
+		w.machines[s] = w.machines[s].CloneWith(&worldHost{w: w, id: s})
+		w.owned[s] = true
+	}
+	w.encs[s] = nil
+	return w.machines[s]
+}
+
 // encodePayload renders a pending payload canonically (for sort keys and
-// state hashing). Every payload the harness enqueues is covered.
+// state hashing). Every payload the harness enqueues is covered. It runs
+// once per sent payload; the result is kept on pendingMsg.enc.
 func encodePayload(p any) []byte {
 	switch v := p.(type) {
 	case *lsa.MC:
@@ -347,14 +401,14 @@ func encodePayload(p any) []byte {
 	}
 }
 
-func (w *World) msgKey(kind byte, pm *pendingMsg) []byte {
-	key := []byte{kind}
-	key = binary.BigEndian.AppendUint32(key, uint32(int32(pm.to)))
-	key = append(key, encodePayload(pm.payload)...)
+// appendMsgKey appends a message action's sort key to buf.
+func appendMsgKey(buf []byte, kind byte, pm *pendingMsg) []byte {
+	buf = append(buf, kind)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(int32(pm.to)))
+	buf = append(buf, pm.enc...)
 	// Tie-break identical messages (dup copies) by creation order so the
 	// enumeration is a total order.
-	key = binary.BigEndian.AppendUint32(key, uint32(pm.id))
-	return key
+	return binary.BigEndian.AppendUint32(buf, uint32(pm.id))
 }
 
 // enabled enumerates the world's enabled actions in a canonical, replay-
@@ -366,49 +420,68 @@ func (w *World) enabled() []action {
 	// therefore drains in-flight traffic before injecting further events,
 	// so the all-zero schedule degrades to fault-free, near-sequential
 	// execution — the natural base case for shrinking.
-	var out []action
+	//
+	// The keys share one allocation, sized up front for every branch the
+	// budgets allow; each is a capped sub-slice of it.
+	branches := 1 // per message: deliver, and drop and dup while budgeted
+	if w.dropsLeft > 0 {
+		branches++
+	}
+	if w.dupsLeft > 0 {
+		branches++
+	}
+	size := 1 + 13*len(w.timers) + 5*w.n
+	for i := range w.pending {
+		size += branches * (9 + len(w.pending[i].enc))
+	}
+	arena := make([]byte, 0, size)
+	out := make([]action, 0, branches*len(w.pending)+len(w.timers)+w.n+1)
+	add := func(a action, start int) {
+		a.key = arena[start:len(arena):len(arena)]
+		out = append(out, a)
+	}
 	for i := range w.pending {
 		pm := &w.pending[i]
 		for _, o := range faults.Choices(
 			!pm.internal && w.dropsLeft > 0,
 			!pm.internal && w.dupsLeft > 0 && !pm.duped,
 		) {
+			start := len(arena)
 			switch o {
 			case faults.Deliver:
-				out = append(out, action{kind: actDeliver, msg: i, key: w.msgKey(0, pm)})
+				arena = appendMsgKey(arena, 0, pm)
+				add(action{kind: actDeliver, msg: i}, start)
 			case faults.Drop:
-				out = append(out, action{kind: actDrop, msg: i, key: w.msgKey(1, pm)})
+				arena = appendMsgKey(arena, 1, pm)
+				add(action{kind: actDrop, msg: i}, start)
 			case faults.Dup:
-				out = append(out, action{kind: actDup, msg: i, key: w.msgKey(2, pm)})
+				arena = appendMsgKey(arena, 2, pm)
+				add(action{kind: actDup, msg: i}, start)
 			}
 		}
 	}
 	for i, t := range w.timers {
-		key := binary.BigEndian.AppendUint32([]byte{3}, uint32(int32(t.sw)))
-		key = binary.BigEndian.AppendUint32(key, uint32(t.conn))
-		key = binary.BigEndian.AppendUint32(key, uint32(i))
-		out = append(out, action{kind: actFire, timer: i, key: key})
+		start := len(arena)
+		arena = binary.BigEndian.AppendUint32(append(arena, 3), uint32(int32(t.sw)))
+		arena = binary.BigEndian.AppendUint32(arena, uint32(t.conn))
+		arena = binary.BigEndian.AppendUint32(arena, uint32(i))
+		add(action{kind: actFire, timer: i}, start)
 	}
 	for s := 0; s < w.n; s++ {
 		// A dead switch accepts no local events; its remaining injects
 		// resume after the restart (the fault lane guarantees one comes).
 		if w.injectPos[s] < len(w.injectsBySwitch[s]) && !w.crashed[s] {
-			key := binary.BigEndian.AppendUint32([]byte{4}, uint32(s))
-			out = append(out, action{kind: actInject, sw: topo.SwitchID(s), key: key})
+			start := len(arena)
+			arena = binary.BigEndian.AppendUint32(append(arena, 4), uint32(s))
+			add(action{kind: actInject, sw: topo.SwitchID(s)}, start)
 		}
 	}
 	if w.faultPos < len(w.scn.Faults) {
-		out = append(out, action{kind: actFault, key: []byte{5}})
+		start := len(arena)
+		arena = append(arena, 5)
+		add(action{kind: actFault}, start)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].key, out[j].key
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return len(a) < len(b)
-	})
+	slices.SortFunc(out, func(a, b action) int { return bytes.Compare(a.key, b.key) })
 	return out
 }
 
@@ -479,21 +552,25 @@ func (w *World) apply(a action) {
 	switch a.kind {
 	case actInject:
 		idx := w.injectsBySwitch[a.sw][w.injectPos[a.sw]]
+		w.injectPos = slices.Clone(w.injectPos)
 		w.injectPos[a.sw]++
 		inj := w.scn.Injects[idx]
 		if inj.Event.Kind == lsa.Join || inj.Event.Kind == lsa.Leave {
 			counts := w.injectedMembership[inj.Event.Conn]
 			if counts == nil {
 				counts = make([]int, w.n)
-				w.injectedMembership[inj.Event.Conn] = counts
+			} else {
+				counts = slices.Clone(counts)
 			}
 			counts[inj.Switch]++
+			w.injectedMembership = maps.Clone(w.injectedMembership)
+			w.injectedMembership[inj.Event.Conn] = counts
 		}
-		w.machines[a.sw].HandleLocalEvent(nil, inj.Event)
+		w.mut(a.sw).HandleLocalEvent(nil, inj.Event)
 	case actDeliver:
 		pm := w.pending[a.msg]
 		w.removePending(a.msg)
-		w.machines[pm.to].ReceiveBatch(nil, []any{pm.payload})
+		w.mut(pm.to).ReceiveBatch(nil, []any{pm.payload})
 	case actDrop:
 		w.removePending(a.msg)
 		w.dropsLeft--
@@ -507,7 +584,7 @@ func (w *World) apply(a action) {
 	case actFire:
 		t := w.timers[a.timer]
 		w.timers = append(w.timers[:a.timer], w.timers[a.timer+1:]...)
-		w.machines[t.sw].ResyncFired(t.conn)
+		w.mut(t.sw).ResyncFired(t.conn)
 	case actFault:
 		w.applyFault()
 	}
@@ -526,30 +603,50 @@ func (w *World) Machine(s topo.SwitchID) *core.Machine { return w.machines[s] }
 // Trace returns the recorded trace (tracing worlds only).
 func (w *World) Trace() []string { return w.trace }
 
+// hashScratch is the reusable working space of World.hash.
+type hashScratch struct {
+	buf    []byte
+	msgs   []*pendingMsg
+	timers []timer
+}
+
+var hashScratchPool = sync.Pool{New: func() any { return new(hashScratch) }}
+
 // hash returns the canonical state digest used for search deduplication.
 // In-flight messages hash as a multiset (two interleavings that produced
 // the same pending messages in different orders are the same state).
+// Machine encodings come from the encs cache, so a world cloned from an
+// already-hashed one re-encodes only the machines it wrote.
 func (w *World) hash() [32]byte {
-	var buf []byte
-	for _, m := range w.machines {
-		buf = m.AppendState(buf)
+	sc := hashScratchPool.Get().(*hashScratch)
+	defer hashScratchPool.Put(sc)
+	buf := sc.buf[:0]
+	for s, m := range w.machines {
+		if w.encs[s] == nil {
+			start := len(buf)
+			buf = m.AppendState(buf)
+			w.encs[s] = bytes.Clone(buf[start:])
+		} else {
+			buf = append(buf, w.encs[s]...)
+		}
 	}
-	for _, l := range w.graph.Links() {
-		if l.Down {
+	for i := 0; i < w.graph.NumLinks(); i++ {
+		if w.graph.LinkAt(i).Down {
 			buf = append(buf, 1)
 		} else {
 			buf = append(buf, 0)
 		}
 	}
-	buf = appendMsgMultiset(buf, w.pending)
-	buf = appendMsgMultiset(buf, w.held)
-	ts := append([]timer(nil), w.timers...)
-	sort.Slice(ts, func(i, j int) bool {
-		if ts[i].sw != ts[j].sw {
-			return ts[i].sw < ts[j].sw
+	buf = sc.appendMsgMultiset(buf, w.pending)
+	buf = sc.appendMsgMultiset(buf, w.held)
+	ts := append(sc.timers[:0], w.timers...)
+	slices.SortFunc(ts, func(a, b timer) int {
+		if a.sw != b.sw {
+			return cmp.Compare(a.sw, b.sw)
 		}
-		return ts[i].conn < ts[j].conn
+		return cmp.Compare(a.conn, b.conn)
 	})
+	sc.timers = ts
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(ts)))
 	for _, t := range ts {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(int32(t.sw)))
@@ -565,45 +662,64 @@ func (w *World) hash() [32]byte {
 	// path-dependent but only relaxes an invariant bound — excluding it
 	// from dedup at worst re-checks a state against a looser bound.)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(w.faultPos))
+	sc.buf = buf
 	return sha256.Sum256(buf)
 }
 
 // appendMsgMultiset appends msgs to buf as an order-independent multiset
 // (two interleavings that produced the same messages in different orders
-// hash identically).
-func appendMsgMultiset(buf []byte, msgs []pendingMsg) []byte {
-	encs := make([][]byte, 0, len(msgs))
+// hash identically). Each message encodes as its destination, its duped
+// and internal flags, and its payload encoding; the encodings are sorted
+// bytewise, each written with a length prefix after their count.
+func (sc *hashScratch) appendMsgMultiset(buf []byte, msgs []pendingMsg) []byte {
+	ptrs := sc.msgs[:0]
 	for i := range msgs {
-		pm := &msgs[i]
-		enc := binary.BigEndian.AppendUint32(nil, uint32(int32(pm.to)))
-		if pm.duped {
-			enc = append(enc, 1)
-		} else {
-			enc = append(enc, 0)
-		}
-		if pm.internal {
-			enc = append(enc, 1)
-		} else {
-			enc = append(enc, 0)
-		}
-		enc = append(enc, encodePayload(pm.payload)...)
-		encs = append(encs, enc)
+		ptrs = append(ptrs, &msgs[i])
 	}
-	sort.Slice(encs, func(i, j int) bool {
-		a, b := encs[i], encs[j]
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
+	// Comparing the fixed-width header fields, then the payload encodings,
+	// is comparing the concatenated encodings bytewise.
+	slices.SortFunc(ptrs, func(a, b *pendingMsg) int {
+		if a.to != b.to {
+			return cmp.Compare(uint32(int32(a.to)), uint32(int32(b.to)))
 		}
-		return len(a) < len(b)
+		if a.duped != b.duped {
+			return boolCompare(a.duped, b.duped)
+		}
+		if a.internal != b.internal {
+			return boolCompare(a.internal, b.internal)
+		}
+		return bytes.Compare(a.enc, b.enc)
 	})
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(encs)))
-	for _, enc := range encs {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(enc)))
-		buf = append(buf, enc...)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(ptrs)))
+	for _, pm := range ptrs {
+		buf = binary.BigEndian.AppendUint32(buf, uint32(6+len(pm.enc)))
+		buf = binary.BigEndian.AppendUint32(buf, uint32(int32(pm.to)))
+		buf = appendFlag(buf, pm.duped)
+		buf = appendFlag(buf, pm.internal)
+		buf = append(buf, pm.enc...)
 	}
+	clear(ptrs) // the pooled scratch must not keep messages alive
+	sc.msgs = ptrs[:0]
 	return buf
+}
+
+func appendFlag(buf []byte, b bool) []byte {
+	if b {
+		return append(buf, 1)
+	}
+	return append(buf, 0)
+}
+
+// boolCompare orders false before true.
+func boolCompare(a, b bool) int {
+	switch {
+	case a == b:
+		return 0
+	case b:
+		return -1
+	default:
+		return 1
+	}
 }
 
 // --- Host implementation ---
@@ -616,8 +732,9 @@ func (h *worldHost) FloodMC(m *lsa.MC) { h.w.flood(h.id, m) }
 func (h *worldHost) FloodNonMC(nm *lsa.NonMC) { h.w.flood(h.id, nm) }
 
 func (w *World) flood(src topo.SwitchID, payload any) {
-	comp := append([]topo.SwitchID(nil), w.graph.Component(src)...)
-	sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
+	comp := w.graph.Component(src)
+	slices.Sort(comp)
+	enc := encodePayload(payload)
 	for _, dst := range comp {
 		if dst == src {
 			continue
@@ -629,7 +746,7 @@ func (w *World) flood(src topo.SwitchID, payload any) {
 		if w.crashed[dst] {
 			continue
 		}
-		pm := pendingMsg{id: w.nextMsgID, to: dst, origin: src, payload: payload}
+		pm := pendingMsg{id: w.nextMsgID, to: dst, payload: payload, enc: enc}
 		w.nextMsgID++
 		if w.partitioned(src, dst) {
 			w.held = append(w.held, pm)
@@ -655,7 +772,7 @@ func (h *worldHost) SendUnicast(to topo.SwitchID, payload any) {
 	if !reachable {
 		return
 	}
-	pm := pendingMsg{id: h.w.nextMsgID, to: to, origin: h.id, payload: payload}
+	pm := pendingMsg{id: h.w.nextMsgID, to: to, payload: payload, enc: encodePayload(payload)}
 	h.w.nextMsgID++
 	// Cross-partition unicasts park until the heal, like flooded copies.
 	if h.w.partitioned(h.id, to) {
@@ -687,11 +804,17 @@ func (h *worldHost) PendingMC(conn lsa.ConnID) bool {
 // Neighbors implements core.Host.
 func (h *worldHost) Neighbors() []topo.SwitchID { return h.w.graph.Neighbors(h.id) }
 
-// FabricLinkChanged implements core.Host.
+// FabricLinkChanged implements core.Host. The world's graph may be shared
+// with other worlds, so the change installs a modified copy.
 func (h *worldHost) FabricLinkChanged(change lsa.LinkChange) {
-	if err := h.w.graph.SetLinkDown(change.A, change.B, change.Down); err != nil && h.w.tracing {
-		h.w.trace = append(h.w.trace, fmt.Sprintf("  [%d] fabric: %v", h.id, err))
+	g := h.w.graph.Clone()
+	if err := g.SetLinkDown(change.A, change.B, change.Down); err != nil {
+		if h.w.tracing {
+			h.w.trace = append(h.w.trace, fmt.Sprintf("  [%d] fabric: %v", h.id, err))
+		}
+		return
 	}
+	h.w.graph = g
 }
 
 // ArmResync implements core.Host: the firing instant becomes a choice
@@ -703,9 +826,10 @@ func (h *worldHost) ArmResync(conn lsa.ConnID) {
 // SelfNudge implements core.Host: a pending self-delivery, exempt from
 // network faults.
 func (h *worldHost) SelfNudge(conn lsa.ConnID) {
+	payload := core.ResyncNudge{Conn: conn}
 	h.w.pending = append(h.w.pending, pendingMsg{
-		id: h.w.nextMsgID, to: h.id, origin: h.id,
-		payload: core.ResyncNudge{Conn: conn}, internal: true,
+		id: h.w.nextMsgID, to: h.id,
+		payload: payload, enc: encodePayload(payload), internal: true,
 	})
 	h.w.nextMsgID++
 }

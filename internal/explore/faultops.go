@@ -2,9 +2,11 @@ package explore
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"dgmc/internal/core"
+	"dgmc/internal/lsa"
 	"dgmc/internal/topo"
 )
 
@@ -235,8 +237,8 @@ func (w *World) applyFault() {
 		w.held = nil
 		for _, l := range w.graph.Links() {
 			if !l.Down && side[l.A] != side[l.B] {
-				w.machines[l.A].ReconcileNeighbor(l.B)
-				w.machines[l.B].ReconcileNeighbor(l.A)
+				w.mut(l.A).ReconcileNeighbor(l.B)
+				w.mut(l.B).ReconcileNeighbor(l.A)
 			}
 		}
 	case FaultCrash:
@@ -244,19 +246,31 @@ func (w *World) applyFault() {
 		// The origin-authority invariant compares against the most events
 		// the origin ever issued; a crash resets the origin's live counter,
 		// so record the high-water mark before the state is lost.
+		// ownHigh, crashed and crashedOnce may be shared with other worlds
+		// (see World), so they are replaced, not modified.
 		m := w.machines[s]
+		ownHigh := make(map[lsa.ConnID][]uint32, len(w.ownHigh))
+		for conn, hw := range w.ownHigh {
+			ownHigh[conn] = hw
+		}
 		for _, conn := range m.AllConnections() {
-			snap, _ := m.Connection(conn)
-			hw := w.ownHigh[conn]
+			r, _, _, _ := m.Stamps(conn)
+			if int(s) >= len(r) {
+				continue
+			}
+			hw := ownHigh[conn]
 			if hw == nil {
 				hw = make([]uint32, w.n)
-				w.ownHigh[conn] = hw
+			} else {
+				hw = slices.Clone(hw)
 			}
-			if int(s) < len(snap.R) && snap.R[s] > hw[s] {
-				hw[s] = snap.R[s]
-			}
+			hw[s] = max(hw[s], r[s])
+			ownHigh[conn] = hw
 		}
+		w.ownHigh = ownHigh
+		w.crashed = slices.Clone(w.crashed)
 		w.crashed[s] = true
+		w.crashedOnce = slices.Clone(w.crashedOnce)
 		w.crashedOnce[s] = true
 		w.crashedEver = true
 		kept := w.pending[:0]
@@ -288,9 +302,12 @@ func (w *World) applyFault() {
 			panic(fmt.Sprintf("explore: blank machine for crashed switch %d: %v", s, err))
 		}
 		w.machines[s] = nm
+		w.owned[s] = true
+		w.encs[s] = nil
 	case FaultRestart:
 		s := op.Switch
+		w.crashed = slices.Clone(w.crashed)
 		w.crashed[s] = false
-		w.machines[s].RequestFullResync()
+		w.mut(s).RequestFullResync()
 	}
 }

@@ -116,7 +116,7 @@ type guidedSearch struct {
 	scn     Scenario
 	opt     Options
 	res     *Result
-	visited map[[32]byte]bool
+	visited map[stateKey]struct{}
 	pq      frontier
 	seq     int
 
@@ -135,8 +135,18 @@ func newGuidedSearch(cfg Config, scn Scenario, opt Options) (*guidedSearch, erro
 		scn:     scn,
 		opt:     opt,
 		res:     &Result{Stats: Stats{Coverage: newCoverage()}},
-		visited: make(map[[32]byte]bool),
+		visited: make(map[stateKey]struct{}),
 	}, nil
+}
+
+// visit records a state as visited and reports whether it is new.
+func (g *guidedSearch) visit(h [32]byte) bool {
+	k := keyOf(h)
+	if _, seen := g.visited[k]; seen {
+		return false
+	}
+	g.visited[k] = struct{}{}
+	return true
 }
 
 // metricSum folds the recovery/consistency counters whose growth marks a
@@ -351,10 +361,9 @@ func (g *guidedSearch) expand() bool {
 			return false
 		}
 		h := child.hash()
-		if g.visited[h] {
+		if !g.visit(h) {
 			continue
 		}
-		g.visited[h] = true
 		g.push(child, sched, h, node.metric)
 		if g.res.Violation != nil {
 			return false
@@ -375,7 +384,7 @@ func (g *guidedSearch) run() error {
 		return err
 	}
 	h := root.hash()
-	g.visited[h] = true
+	g.visit(h)
 	g.push(root, nil, h, metricSum(root))
 	for g.expand() {
 	}
@@ -508,10 +517,7 @@ func (g *guidedSearch) neighborhood(prefix []int) error {
 		delta []int
 	}
 	queue := []nbNode{{w: w0}}
-	h0 := w0.hash()
-	if !g.visited[h0] {
-		g.visited[h0] = true
-	}
+	g.visit(w0.hash())
 	for len(queue) > 0 && g.res.Violation == nil {
 		node := queue[0]
 		queue = queue[1:]
@@ -547,11 +553,9 @@ func (g *guidedSearch) neighborhood(prefix []int) error {
 				g.res.Violation = buildViolation(g.cfg, g.scn, shrunk, err, false)
 				return nil
 			}
-			h := child.hash()
-			if g.visited[h] {
+			if !g.visit(child.hash()) {
 				continue
 			}
-			g.visited[h] = true
 			sc := child.suspects()
 			shape := child.stampShape()
 			g.noteCoverage(child, &sc, shape)

@@ -72,61 +72,49 @@ func (v *Violation) Error() string {
 	return v.Err.Error()
 }
 
-// checkStep verifies the per-state invariants.
+// checkStep verifies the per-state invariants. It runs after every
+// transition, so it reads the machines' stamps in place (Machine.Stamps)
+// rather than through copying snapshots.
 func (w *World) checkStep() error {
-	// Origin-authoritative event counts: own[x] = R[x] at switch x.
-	own := make(map[lsa.ConnID][]uint32)
 	for s, m := range w.machines {
 		for _, conn := range m.AllConnections() {
-			snap, _ := m.Connection(conn)
-			counts := own[conn]
-			if counts == nil {
-				counts = make([]uint32, w.n)
-				own[conn] = counts
+			r, e, c, _ := m.Stamps(conn)
+			if !e.Geq(r) {
+				return fmt.Errorf("switch %d conn %d: R exceeds E: R=%s E=%s", s, conn, r, e)
 			}
-			if s < len(snap.R) {
-				counts[s] = snap.R[s]
+			if !e.Geq(c) {
+				return fmt.Errorf("switch %d conn %d: C exceeds E: C=%s E=%s", s, conn, c, e)
 			}
-		}
-	}
-	// A crash resets the origin's live counter; the authority bound is the
-	// most events the origin EVER issued (high-water marks captured at
-	// crash time), not its current, possibly still-recovering count.
-	for conn, hw := range w.ownHigh {
-		counts := own[conn]
-		if counts == nil {
-			counts = make([]uint32, w.n)
-			own[conn] = counts
-		}
-		for x := range hw {
-			if hw[x] > counts[x] {
-				counts[x] = hw[x]
-			}
-		}
-	}
-	for s, m := range w.machines {
-		for _, conn := range m.AllConnections() {
-			snap, _ := m.Connection(conn)
-			if !snap.E.Geq(snap.R) {
-				return fmt.Errorf("switch %d conn %d: R exceeds E: R=%s E=%s", s, conn, snap.R, snap.E)
-			}
-			if !snap.E.Geq(snap.C) {
-				return fmt.Errorf("switch %d conn %d: C exceeds E: C=%s E=%s", s, conn, snap.C, snap.E)
-			}
-			counts := own[conn]
-			for x := 0; x < w.n && x < len(snap.R); x++ {
-				if snap.R[x] > counts[x] {
+			for x := 0; x < w.n && x < len(r); x++ {
+				own := w.ownCount(conn, x)
+				if r[x] > own {
 					return fmt.Errorf("switch %d conn %d: R[%d]=%d exceeds origin's own count %d",
-						s, conn, x, snap.R[x], counts[x])
+						s, conn, x, r[x], own)
 				}
-				if snap.E[x] > counts[x] {
+				if e[x] > own {
 					return fmt.Errorf("switch %d conn %d: E[%d]=%d exceeds origin's own count %d",
-						s, conn, x, snap.E[x], counts[x])
+						s, conn, x, e[x], own)
 				}
 			}
 		}
 	}
 	return nil
+}
+
+// ownCount is the origin-authoritative event count for origin x on conn:
+// R[x] at switch x itself. A crash resets the origin's live counter, so
+// the bound is the most events the origin EVER issued (high-water marks
+// captured at crash time), not its current, possibly still-recovering
+// count.
+func (w *World) ownCount(conn lsa.ConnID, x int) uint32 {
+	var own uint32
+	if r, _, _, ok := w.machines[x].Stamps(conn); ok && x < len(r) {
+		own = r[x]
+	}
+	if hw := w.ownHigh[conn]; hw != nil {
+		own = max(own, hw[x])
+	}
+	return own
 }
 
 // lossyStandard reports whether this schedule's history downgrades it to

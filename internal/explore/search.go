@@ -2,7 +2,10 @@ package explore
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime/debug"
+	"runtime/metrics"
 )
 
 // autoCompleteCap bounds the deterministic run-to-quiescence tail appended
@@ -43,8 +46,9 @@ type Options struct {
 	// Progress, when non-nil, receives periodic search statistics.
 	Progress func(Stats)
 
-	// expandHook observes every frontier expansion of guided/backward
-	// search in order (tests pin search-order determinism with it).
+	// expandHook observes every frontier expansion of exhaustive, guided
+	// and backward search in order (tests pin search-order determinism
+	// with it). Exhaustive search reports score -1.
 	expandHook func(depth, score int, hash [32]byte)
 }
 
@@ -101,10 +105,14 @@ type Stats struct {
 	Quiescent int
 	// MaxDepthSeen is the longest schedule prefix explored.
 	MaxDepthSeen int
-	// Truncated reports that a bound (MaxDepth, MaxStates, Budget, or
-	// Frontier) cut the search short, so absence of violations is not a
-	// proof.
+	// Truncated reports that a bound (MaxDepth, MaxStates, Budget,
+	// Frontier, or the memory limit) cut the search short, so absence of
+	// violations is not a proof.
 	Truncated bool
+	// MemoryLimited reports that exhaustive search stopped expanding
+	// because its memory use passed the Go memory limit (GOMEMLIMIT or
+	// debug.SetMemoryLimit); Truncated is set with it.
+	MemoryLimited bool
 	// Probes counts drain-to-quiescence probes run by guided search;
 	// ProbeSteps counts the transitions they executed (charged against
 	// Budget alongside Transitions).
@@ -148,9 +156,55 @@ type Result struct {
 	Suspects []SuspectReport
 }
 
+// bfsNode is one frontier state of exhaustive search. Nodes link to their
+// parent instead of carrying their schedule, which is rebuilt only when a
+// violation needs it; w is dropped once the node is expanded.
 type bfsNode struct {
-	w     *World
-	sched []int
+	w      *World
+	parent *bfsNode
+	choice int
+	depth  int
+}
+
+// schedule returns the choices that reach the node from the root.
+func (n *bfsNode) schedule() []int {
+	sched := make([]int, n.depth)
+	for x := n; x.parent != nil; x = x.parent {
+		sched[x.depth-1] = x.choice
+	}
+	return sched
+}
+
+// stateKey is the deduplication key of a world state: the first 16 bytes of
+// its SHA-256 digest.
+type stateKey [16]byte
+
+func keyOf(h [32]byte) stateKey { return stateKey(h[:16]) }
+
+// memCheckEvery is how many new states exhaustive search admits between
+// two reads of its memory use when a memory limit is set.
+const memCheckEvery = 1000
+
+// memoryLimit returns the Go runtime's memory limit (GOMEMLIMIT or
+// debug.SetMemoryLimit), or 0 when none is set.
+func memoryLimit() uint64 {
+	if l := debug.SetMemoryLimit(-1); l != math.MaxInt64 {
+		return uint64(l)
+	}
+	return 0
+}
+
+// limitedBytes reads the memory the Go memory limit governs: everything
+// the runtime has mapped, less heap memory it has returned to the system.
+// The collector holds this under the limit for as long as it can; it
+// passes the limit once live data leaves the collector no room.
+func limitedBytes() uint64 {
+	sample := []metrics.Sample{
+		{Name: "/memory/classes/total:bytes"},
+		{Name: "/memory/classes/heap/released:bytes"},
+	}
+	metrics.Read(sample)
+	return sample[0].Value.Uint64() - sample[1].Value.Uint64()
 }
 
 // Exhaustive explores every reachable interleaving of (cfg, scn) by
@@ -158,6 +212,11 @@ type bfsNode struct {
 // hash. BFS order means the first violation found has a minimal-length
 // schedule. The search is deterministic: equal inputs explore identical
 // state sequences and return identical results.
+//
+// When a Go memory limit is set, the search reads the memory in use every
+// memCheckEvery new states and, once it has passed the limit, stops
+// expanding and reports the search as Truncated and MemoryLimited instead
+// of running on until the process is killed.
 func Exhaustive(cfg Config, scn Scenario, opt Options) (*Result, error) {
 	opt.fill()
 	root, err := NewWorld(cfg, scn)
@@ -165,50 +224,66 @@ func Exhaustive(cfg Config, scn Scenario, opt Options) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{}
-	visited := map[[32]byte]bool{root.hash(): true}
-	queue := []bfsNode{{w: root, sched: nil}}
+	memLimit := memoryLimit()
+	nextMemCheck := memCheckEvery
+	visited := map[stateKey]struct{}{keyOf(root.hash()): {}}
+	queue := []*bfsNode{{w: root}}
 	for len(queue) > 0 {
 		node := queue[0]
+		queue[0] = nil
 		queue = queue[1:]
-		if len(node.sched) > res.Stats.MaxDepthSeen {
-			res.Stats.MaxDepthSeen = len(node.sched)
+		if node.depth > res.Stats.MaxDepthSeen {
+			res.Stats.MaxDepthSeen = node.depth
 		}
-		acts := node.w.enabled()
+		w := node.w
+		node.w = nil
+		if opt.expandHook != nil {
+			opt.expandHook(node.depth, -1, w.hash())
+		}
+		acts := w.enabled()
 		if len(acts) == 0 {
 			res.Stats.Quiescent++
-			if err := node.w.checkQuiescent(); err != nil {
-				res.Violation = buildViolation(cfg, scn, node.sched, err, true)
+			if err := w.checkQuiescent(); err != nil {
+				res.Violation = buildViolation(cfg, scn, node.schedule(), err, true)
 				return res, nil
 			}
 			continue
 		}
-		if opt.MaxDepth > 0 && len(node.sched) >= opt.MaxDepth {
+		if opt.MaxDepth > 0 && node.depth >= opt.MaxDepth {
 			res.Stats.Truncated = true
 			continue
 		}
 		for i := range acts {
-			child := node.w.clone()
+			child := w.clone()
 			child.apply(acts[i])
 			res.Stats.Transitions++
-			sched := append(append([]int(nil), node.sched...), i)
 			if err := child.checkStep(); err != nil {
+				sched := append(node.schedule(), i)
 				res.Violation = buildViolation(cfg, scn, sched, err, false)
 				return res, nil
 			}
-			h := child.hash()
-			if visited[h] {
+			k := keyOf(child.hash())
+			if _, seen := visited[k]; seen {
 				continue
 			}
 			if len(visited) >= opt.MaxStates {
 				res.Stats.Truncated = true
 				continue
 			}
-			visited[h] = true
-			queue = append(queue, bfsNode{w: child, sched: sched})
+			visited[k] = struct{}{}
+			queue = append(queue, &bfsNode{w: child, parent: node, choice: i, depth: node.depth + 1})
 		}
 		res.Stats.States = len(visited)
 		if opt.Progress != nil && res.Stats.States%1000 == 0 {
 			opt.Progress(res.Stats)
+		}
+		if memLimit > 0 && len(visited) >= nextMemCheck {
+			nextMemCheck = len(visited) + memCheckEvery
+			if limitedBytes() > memLimit {
+				res.Stats.Truncated = true
+				res.Stats.MemoryLimited = true
+				break
+			}
 		}
 	}
 	res.Stats.States = len(visited)

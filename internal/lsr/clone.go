@@ -2,27 +2,31 @@ package lsr
 
 import (
 	"encoding/binary"
-	"sort"
+	"maps"
+	"slices"
 
 	"dgmc/internal/topo"
 )
 
-// Clone returns an independent deep copy of the instance: same switch,
-// same image contents, same staleness-protection state, sharing nothing
-// mutable with the original. The schedule-exploration harness
-// (internal/explore) uses it to branch a switch's state at a choice point.
+// Clone returns an independent copy of the instance: same switch, same
+// image, same staleness-protection state. The image and the routing table
+// are immutable values (HandleLSA replaces them rather than editing them),
+// so the copy shares them; only the mutable staleness map is copied (and
+// left nil while empty). Clone only reads its source, so several
+// goroutines may clone one instance at once. The schedule-exploration
+// harness (internal/explore) uses it to branch a switch's state at a
+// choice point, and live snapshots (internal/rt) use it to capture and
+// restore one.
 func (i *Instance) Clone() *Instance {
 	c := &Instance{
 		self:    i.self,
-		image:   i.image.Clone(),
-		nextHop: make([]topo.SwitchID, len(i.nextHop)),
+		image:   i.image,
+		nextHop: i.nextHop,
 		version: i.version,
 		mySeq:   i.mySeq,
-		seen:    make(map[topo.SwitchID]uint32, len(i.seen)),
 	}
-	copy(c.nextHop, i.nextHop)
-	for k, v := range i.seen {
-		c.seen[k] = v
+	if len(i.seen) > 0 {
+		c.seen = maps.Clone(i.seen)
 	}
 	return c
 }
@@ -35,8 +39,8 @@ func (i *Instance) Clone() *Instance {
 // routing table, which is a function of the image) is excluded so that
 // different event orders reaching the same image compare equal.
 func (i *Instance) AppendState(buf []byte) []byte {
-	for _, l := range i.image.Links() {
-		if l.Down {
+	for k := 0; k < i.image.NumLinks(); k++ {
+		if i.image.LinkAt(k).Down {
 			buf = append(buf, 1)
 		} else {
 			buf = append(buf, 0)
@@ -47,7 +51,7 @@ func (i *Instance) AppendState(buf []byte) []byte {
 	for id := range i.seen {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+	slices.Sort(ids)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(ids)))
 	for _, id := range ids {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(int32(id)))

@@ -19,7 +19,9 @@ import (
 // Instance is a single switch's link-state routing state: its local image
 // of the network and the unicast routing table derived from it.
 type Instance struct {
-	self    topo.SwitchID
+	self topo.SwitchID
+	// image and nextHop are immutable once built: a change installs a
+	// modified copy, so clones share them safely (see Clone).
 	image   *topo.Graph
 	nextHop []topo.SwitchID
 	version uint64
@@ -45,9 +47,11 @@ func NewInstance(self topo.SwitchID, base *topo.Graph) (*Instance, error) {
 // Self returns the switch this instance runs on.
 func (i *Instance) Self() topo.SwitchID { return i.self }
 
-// Image returns the switch's local image of the network. Callers must
-// treat it as read-only; it is shared with the MC protocol's topology
-// computations.
+// Image returns the switch's local image of the network. The image is an
+// immutable value: an LSA that changes a link replaces it with a modified
+// copy, so a returned image never changes underneath its holder, and
+// callers must not modify it (clones of the instance share it). Re-read
+// Image after HandleLSA to see the current network.
 func (i *Instance) Image() *topo.Graph { return i.image }
 
 // Version counts applied topology changes; it increments whenever an LSA
@@ -72,14 +76,21 @@ func (i *Instance) HandleLSA(nm *lsa.NonMC) (changed bool, err error) {
 		if nm.Seq <= i.seen[nm.Src] {
 			return false, nil // stale or duplicate
 		}
+		if i.seen == nil {
+			i.seen = make(map[topo.SwitchID]uint32)
+		}
 		i.seen[nm.Src] = nm.Seq
 	}
 	if l.Down == nm.Change.Down {
 		return false, nil
 	}
-	if err := i.image.SetLinkDown(nm.Change.A, nm.Change.B, nm.Change.Down); err != nil {
+	// Swap in a modified copy: the current image may be shared with
+	// clones of this instance and with callers of Image.
+	img := i.image.Clone()
+	if err := img.SetLinkDown(nm.Change.A, nm.Change.B, nm.Change.Down); err != nil {
 		return false, err
 	}
+	i.image = img
 	i.version++
 	i.recompute()
 	return true, nil

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"dgmc/internal/core"
+	"dgmc/internal/lsa"
 )
 
 // Step is one protocol trace entry inside a span, JSON-ready.
@@ -20,7 +21,7 @@ type Step struct {
 
 // Span is the reconstructed causal history of one local membership event:
 // every event→compute→flood→recv→install/withdraw step, across every switch,
-// that carried the event's chain ID. The counts are the paper's Table 2/3
+// that carried the event's chain ID on the event's connection. The counts are the paper's Table 2/3
 // metrics observed live: how many topology computations and floods one
 // event cost, and how long until its last installation (ConvergeNS).
 type Span struct {
@@ -55,6 +56,13 @@ type Span struct {
 	Steps []Step `json:"steps"`
 }
 
+// spanKey identifies one event. A chain ID numbers an origin's events per
+// connection, so the same chain ID on two connections names two events.
+type spanKey struct {
+	conn  lsa.ConnID
+	chain core.ChainID
+}
+
 // spanState is the mutable accumulator behind one Span.
 type spanState struct {
 	chain    core.ChainID
@@ -73,7 +81,8 @@ type spanState struct {
 	computations, floods, recvs, installs, withdraws int
 }
 
-// SpanCollector assembles core.TraceEntry streams into per-chain spans. It
+// SpanCollector assembles core.TraceEntry streams into one span per event,
+// keyed by (connection, chain ID). It
 // implements core.Tracer and is safe for concurrent use, so one collector
 // can be attached to every node of a live cluster (or fed by several
 // daemons' trace streams) and still reconstruct network-wide spans.
@@ -83,8 +92,8 @@ type spanState struct {
 // chain ID (resync housekeeping, decode errors) are counted but not kept.
 type SpanCollector struct {
 	mu       sync.Mutex
-	spans    map[core.ChainID]*spanState
-	order    []core.ChainID // insertion order, for eviction
+	spans    map[spanKey]*spanState
+	order    []spanKey // insertion order, for eviction
 	maxSpans int
 	dropped  uint64 // zero-chain entries not attributable to any span
 	evicted  uint64
@@ -99,7 +108,7 @@ func NewSpanCollector(maxSpans int) *SpanCollector {
 		maxSpans = 1024
 	}
 	return &SpanCollector{
-		spans:    make(map[core.ChainID]*spanState),
+		spans:    make(map[spanKey]*spanState),
 		maxSpans: maxSpans,
 	}
 }
@@ -112,7 +121,8 @@ func (c *SpanCollector) Trace(e core.TraceEntry) {
 		c.dropped++
 		return
 	}
-	st, ok := c.spans[e.Chain]
+	key := spanKey{conn: e.Conn, chain: e.Chain}
+	st, ok := c.spans[key]
 	if !ok {
 		if len(c.order) >= c.maxSpans {
 			oldest := c.order[0]
@@ -125,8 +135,8 @@ func (c *SpanCollector) Trace(e core.TraceEntry) {
 			conn:     int(e.Conn),
 			switches: make(map[int]struct{}),
 		}
-		c.spans[e.Chain] = st
-		c.order = append(c.order, e.Chain)
+		c.spans[key] = st
+		c.order = append(c.order, key)
 	}
 	at := int64(e.At)
 	if !st.haveStart || at < st.startNS {
@@ -202,7 +212,8 @@ func (st *spanState) snapshot() Span {
 	return sp
 }
 
-// Spans returns the retained spans ordered by start time (ties by chain).
+// Spans returns the retained spans ordered by start time (ties by chain,
+// then connection).
 func (c *SpanCollector) Spans() []Span {
 	c.mu.Lock()
 	out := make([]Span, 0, len(c.order))
@@ -214,16 +225,19 @@ func (c *SpanCollector) Spans() []Span {
 		if out[i].StartNS != out[j].StartNS {
 			return out[i].StartNS < out[j].StartNS
 		}
-		return out[i].Chain < out[j].Chain
+		if out[i].Chain != out[j].Chain {
+			return out[i].Chain < out[j].Chain
+		}
+		return out[i].Conn < out[j].Conn
 	})
 	return out
 }
 
-// Span returns the span for one chain, if tracked.
-func (c *SpanCollector) Span(chain core.ChainID) (Span, bool) {
+// Span returns the span for one chain on one connection, if tracked.
+func (c *SpanCollector) Span(conn lsa.ConnID, chain core.ChainID) (Span, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st, ok := c.spans[chain]
+	st, ok := c.spans[spanKey{conn: conn, chain: chain}]
 	if !ok {
 		return Span{}, false
 	}

@@ -66,11 +66,45 @@ func TestSpanAssembly(t *testing.T) {
 		t.Fatalf("stats aggregates = %+v", st)
 	}
 
-	if got, ok := c.Span(chain); !ok || got.Chain != "0/1" {
+	if got, ok := c.Span(7, chain); !ok || got.Chain != "0/1" {
 		t.Fatalf("Span lookup = %+v, %v", got, ok)
 	}
-	if _, ok := c.Span(core.ChainID{Origin: 9, Seq: 9}); ok {
+	if _, ok := c.Span(7, core.ChainID{Origin: 9, Seq: 9}); ok {
 		t.Fatal("unknown chain must not resolve")
+	}
+	if _, ok := c.Span(8, chain); ok {
+		t.Fatal("chain must not resolve on another connection")
+	}
+}
+
+// TestSpanPerConnection: one origin's first event on two connections
+// carries the same chain ID on both; the collector must keep two spans,
+// each with its own connection's steps.
+func TestSpanPerConnection(t *testing.T) {
+	c := NewSpanCollector(0)
+	chain := core.ChainID{Origin: 4, Seq: 1}
+	for _, conn := range []lsa.ConnID{1, 2} {
+		at := int64(100 * conn)
+		c.Trace(core.TraceEntry{At: sim.Time(at), Kind: core.TraceEvent, Switch: 4, Conn: conn, Chain: chain})
+		c.Trace(core.TraceEntry{At: sim.Time(at + 1), Kind: core.TraceCompute, Switch: 4, Conn: conn, Chain: chain})
+		c.Trace(core.TraceEntry{At: sim.Time(at + 2), Kind: core.TraceFlood, Switch: 4, Conn: conn, Chain: chain})
+	}
+	c.Trace(core.TraceEntry{At: 250, Kind: core.TraceInstall, Switch: 5, Conn: 2, Chain: chain})
+
+	spans := c.Spans()
+	if len(spans) != 2 {
+		t.Fatalf("got %d spans, want one per connection: %+v", len(spans), spans)
+	}
+	for i, conn := range []int{1, 2} {
+		sp := spans[i]
+		if sp.Conn != conn || sp.Chain != "4/1" || sp.Computations != 1 || sp.Floods != 1 {
+			t.Fatalf("span %d = %+v, want conn %d with one computation and one flood", i, sp, conn)
+		}
+	}
+	one, _ := c.Span(1, chain)
+	two, _ := c.Span(2, chain)
+	if len(one.Steps) != 3 || one.Installs != 0 || len(two.Steps) != 4 || two.Installs != 1 {
+		t.Fatalf("steps merged across connections: conn 1 %+v, conn 2 %+v", one, two)
 	}
 }
 

@@ -182,12 +182,23 @@ func (g *Graph) SetLinkDown(a, b SwitchID, down bool) error {
 
 // Clone returns a deep copy of the graph, including link states.
 func (g *Graph) Clone() *Graph {
-	c := New(g.n)
-	for _, l := range g.links {
-		_ = c.AddLink(l.A, l.B, l.Delay, l.Capacity)
-		if l.Down {
-			_ = c.SetLinkDown(l.A, l.B, true)
-		}
+	c := &Graph{
+		n:     g.n,
+		links: append([]Link(nil), g.links...),
+		adj:   make([][]int, g.n),
+		index: make(map[[2]SwitchID]int, len(g.index)),
+	}
+	// One backing array holds every adjacency list; each list is capped
+	// at its length so a later AddLink reallocates it instead of running
+	// into its neighbour's entries.
+	flat := make([]int, 0, 2*len(g.links))
+	for s, idxs := range g.adj {
+		start := len(flat)
+		flat = append(flat, idxs...)
+		c.adj[s] = flat[start:len(flat):len(flat)]
+	}
+	for k, idx := range g.index {
+		c.index[k] = idx
 	}
 	return c
 }

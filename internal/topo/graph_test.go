@@ -219,6 +219,19 @@ func TestCloneIsDeep(t *testing.T) {
 	if c.NumSwitches() != 3 || c.NumLinks() != 2 {
 		t.Errorf("clone shape = %d switches %d links", c.NumSwitches(), c.NumLinks())
 	}
+	// Links added to either side after the copy stay on that side.
+	if err := c.AddLink(0, 2, time.Microsecond, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := g.Link(0, 2); ok || g.NumLinks() != 2 || len(g.Neighbors(1)) != 1 {
+		t.Errorf("link added to the clone reached the original: %v", g.Links())
+	}
+	if got := c.Neighbors(1); len(got) != 2 || got[0] != 0 || got[1] != 2 {
+		t.Errorf("clone neighbors of 1 = %v, want [0 2]", got)
+	}
+	if got := c.Neighbors(0); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Errorf("clone neighbors of 0 = %v, want [1 2]", got)
+	}
 }
 
 func TestFixedTopologies(t *testing.T) {
