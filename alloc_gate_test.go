@@ -4,7 +4,8 @@
 // per-call allocation — a lost pooled buffer, an un-elided clone, a
 // variadic Trace call un-guarded — fails loudly rather than rotting
 // silently. Budgets are per operation and generous by ~25%; they gate
-// regressions, they are not the measured values (see BENCH_pr5.json).
+// regressions, they are not the measured values (measure those with
+// `go test -run '^$' -bench . -benchmem .`; BENCH_pr5.json archives them).
 package dgmc_test
 
 import (

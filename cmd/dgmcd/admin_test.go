@@ -300,7 +300,14 @@ func TestDaemonHealthAndFlightRecorder(t *testing.T) {
 	deadline = time.Now().Add(10 * time.Second)
 	for daemons[2].node.ForwardStats().Delivered == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("switch 2 never delivered the traced packet")
+			// Say where the packet stopped: a hop that counted a drop, or
+			// a send and no matching receive (lost on the socket).
+			var hops strings.Builder
+			for i, d := range daemons {
+				fmt.Fprintf(&hops, "\n  switch %d: %+v decode errors %d, conn 7 FIB entry %+v",
+					i, d.node.ForwardStats(), d.node.DecodeErrors(), d.node.FIB().Lookup(7))
+			}
+			t.Fatalf("switch 2 never delivered the traced packet:%s", hops.String())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -277,15 +277,14 @@ func (p *chanPort) Recv() ([]byte, error) {
 	}
 }
 
-// RecvBatch drains the port's entire backlog in one blocking call — the
-// batched fast path Node.recvLoop prefers, one queue-lock acquisition per
-// burst instead of per frame. recycle must be the slice returned by the
-// previous call (or nil); its backing array goes back to the queue for the
-// producers' next batch, while the frames themselves are the caller's to
-// putBuf once handled. The frames stay in the fabric's in-flight count
-// until the consumer settles them with Release — InFlight()==0 must keep
-// meaning "nothing queued anywhere and nothing mid-handling", exactly as
-// it did when Recv handed frames out one at a time.
+// RecvBatch drains the port's entire backlog in one blocking call — one
+// queue-lock acquisition per burst instead of per frame. recycle must be
+// the slice returned by the previous call (or nil); its backing array goes
+// back to the queue for the producers' next batch, while the frames
+// themselves are the caller's to putBuf once handled. The frames stay in
+// the fabric's in-flight count until the consumer settles them with
+// Release — InFlight()==0 must keep meaning "nothing queued anywhere and
+// nothing mid-handling", exactly as with Recv.
 func (p *chanPort) RecvBatch(recycle [][]byte) ([][]byte, error) {
 	batch, ok := p.fabric.queues[p.id].Load().popAll(recycle)
 	if !ok {

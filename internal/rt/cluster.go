@@ -337,14 +337,7 @@ func (c *Cluster) ForwardStats() ForwardStats {
 			return
 		}
 		seen[n] = true
-		s := n.ForwardStats()
-		sum.Originated += s.Originated
-		sum.Forwarded += s.Forwarded
-		sum.Delivered += s.Delivered
-		sum.DropNoEntry += s.DropNoEntry
-		sum.DropNoRoute += s.DropNoRoute
-		sum.DropHops += s.DropHops
-		sum.DropLoop += s.DropLoop
+		sum.add(n.ForwardStats())
 	}
 	for _, n := range c.nodes {
 		add(n)

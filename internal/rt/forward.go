@@ -10,7 +10,7 @@ import (
 	"dgmc/internal/topo"
 )
 
-// This file is the node's data plane: originate (SendData) and relay
+// This file is the node's data plane: originate (SendDataBatch) and relay
 // (handleData) payload frames over the per-connection FIB compiled from the
 // installed MC topologies.
 //
@@ -174,7 +174,6 @@ func (n *Node) recompileFIBLocked() {
 	t := b.Build()
 	n.fib.Store(t)
 	compiles := n.fibCompiles.Add(1)
-	n.obs.fibCompiles.Inc()
 	n.flight.Record(obs.RecFIBSwap, 0, uint32(n.id), compiles, uint64(t.Size()))
 	n.registerConnSeries(t)
 }
@@ -193,43 +192,10 @@ func (n *Node) recordData(kind obs.RecKind, conn lsa.ConnID, src topo.SwitchID, 
 // SendData originates one payload on conn, fanning it out exactly as a
 // forwarded frame would: over the tree if this switch is on it, or toward
 // the contact node of a receiver-only MC. It returns the frame's data
-// sequence number. Like handleData it consults only the atomic FIB — it
-// never takes the machine lock.
+// sequence number. It is SendDataBatch with a count of one.
 func (n *Node) SendData(conn lsa.ConnID, payload []byte) (uint64, error) {
-	select {
-	case <-n.closed:
-		return 0, ErrClosed
-	default:
-	}
-	e := n.fib.Load().Lookup(conn)
-	if e == nil {
-		return 0, ErrNoRoute
-	}
-	if !e.CanSend {
-		return 0, ErrNotSender
-	}
-	if !e.Entered() && e.ContactNext == topo.NoSwitch {
-		return 0, ErrNoRoute
-	}
-	seq := n.dataSeq.Add(1)
-	d := lsa.DataFrame{Conn: conn, Src: n.id, Seq: seq, Hops: n.dataHops, Payload: payload}
-	buf := lsa.AppendDataFrame(getBuf(64+len(payload)), &d, n.id)
-	if e.Entered() {
-		for _, nb := range e.Neighbors {
-			if err := n.tr.Send(nb, buf); err != nil {
-				n.obs.sendErrs.Inc()
-				n.tracef("sw%d: data to %d: %v", n.id, nb, err)
-			}
-		}
-	} else if err := n.tr.Send(e.ContactNext, buf); err != nil {
-		n.obs.sendErrs.Inc()
-		n.tracef("sw%d: data to contact %d: %v", n.id, e.ContactNext, err)
-	}
-	putBuf(buf)
-	n.fwd.stripe(conn).originated.Add(1)
-	n.obs.dataOrig.Inc()
-	n.recordData(obs.RecOriginate, conn, n.id, seq, n.id)
-	return seq, nil
+	seq, _, err := n.SendDataBatch(conn, payload, 1)
+	return seq, err
 }
 
 // SendDataBatch originates count copies of payload on conn, reserving one
@@ -237,10 +203,11 @@ func (n *Node) SendData(conn lsa.ConnID, payload []byte) (uint64, error) {
 // The frame is encoded once; each subsequent packet restamps the sequence
 // (and CRC) in place before fanning out, so the per-packet cost is the
 // patch plus the link sends — the setup (entitlement check, FIB lookup,
-// buffer rental, header+payload encode) is paid once per batch. Like
-// SendData, per-link send errors are counted and traced but do not fail
-// the packet; the entitlement and route checks happen once up front, which
-// is the batch's semantics: one claim, count packets.
+// buffer rental, header+payload encode) is paid once per batch. Per-link
+// send errors are counted and traced but do not fail the packet; the
+// entitlement and route checks happen once up front, which is the batch's
+// semantics: one claim, count packets. Like handleData it consults only the
+// atomic FIB — it never takes the machine lock.
 func (n *Node) SendDataBatch(conn lsa.ConnID, payload []byte, count int) (uint64, int, error) {
 	if count <= 0 {
 		return 0, 0, nil
@@ -286,7 +253,6 @@ func (n *Node) SendDataBatch(conn lsa.ConnID, payload []byte, count int) (uint64
 	}
 	putBuf(buf)
 	n.fwd.stripe(conn).originated.Add(uint64(count))
-	n.obs.dataOrig.Add(uint64(count))
 	return first, count, nil
 }
 
@@ -296,10 +262,10 @@ func (n *Node) SendDataBatch(conn lsa.ConnID, payload []byte, count int) (uint64
 // transport receive goroutine; zero allocations, no locks.
 //
 // consumed reports that buf's ownership was transferred to the transport:
-// when the transport supports SendOwned, the relay's last outgoing link
-// takes the already-patched frame by move instead of copying it. The local
-// delivery callback runs before any move, so d.Payload (which aliases buf)
-// is safe for the handler's duration.
+// the relay's last outgoing link takes the already-patched frame by
+// SendOwned instead of copying it. The local delivery callback runs before
+// the move, so d.Payload (which aliases buf) is safe for the handler's
+// duration.
 func (n *Node) handleData(buf []byte, f *lsa.Frame) (consumed bool) {
 	var d lsa.DataFrame
 	if f.Origin == n.id {
@@ -313,25 +279,21 @@ func (n *Node) handleData(buf []byte, f *lsa.Frame) (consumed bool) {
 			conn = d.Conn
 		}
 		n.fwd.stripe(conn).dropLoop.Add(1)
-		n.obs.dataDropLoop.Inc()
 		n.recordData(obs.RecDropLoop, conn, f.Origin, f.Seq, f.From)
 		return
 	}
 	if err := lsa.DecodeDataInto(&d, f); err != nil {
 		n.decodeErrs.Add(1)
-		n.obs.decodeErrs.Inc()
 		return
 	}
 	e := n.fib.Load().Lookup(d.Conn)
 	if e == nil {
 		n.fwd.stripe(d.Conn).dropNoEntry.Add(1)
-		n.obs.dataDropNoEntry.Inc()
 		n.recordData(obs.RecDropNoEntry, d.Conn, d.Src, d.Seq, f.From)
 		return
 	}
 	if e.Local {
 		n.fwd.stripe(d.Conn).delivered.Add(1)
-		n.obs.dataDeliv.Inc()
 		n.recordData(obs.RecDeliver, d.Conn, d.Src, d.Seq, f.From)
 		if h := n.dataHandler; h != nil {
 			h(d.Conn, d.Src, d.Seq, d.Payload)
@@ -352,7 +314,6 @@ func (n *Node) handleData(buf []byte, f *lsa.Frame) (consumed bool) {
 		}
 		if d.Hops == 0 {
 			n.fwd.stripe(d.Conn).dropHops.Add(1)
-			n.obs.dataDropHops.Inc()
 			n.recordData(obs.RecDropHops, d.Conn, d.Src, d.Seq, from)
 			return
 		}
@@ -365,11 +326,10 @@ func (n *Node) handleData(buf []byte, f *lsa.Frame) (consumed bool) {
 				continue
 			}
 			var err error
-			if i == last && n.ownedTr != nil {
+			if i == last {
 				// Final link: move the patched frame instead of copying it.
 				// SendOwned consumes buf on every outcome.
-				err = n.ownedTr.SendOwned(nb, buf)
-				consumed = true
+				err = n.tr.SendOwned(nb, buf)
 			} else {
 				err = n.tr.Send(nb, buf)
 			}
@@ -378,42 +338,33 @@ func (n *Node) handleData(buf []byte, f *lsa.Frame) (consumed bool) {
 				n.tracef("sw%d: data relay to %d: %v", n.id, nb, err)
 			} else {
 				n.fwd.stripe(d.Conn).forwarded.Add(1)
-				n.obs.dataFwd.Inc()
 				sent = true
 			}
 		}
 		if sent {
 			n.recordData(obs.RecForward, d.Conn, d.Src, d.Seq, from)
 		}
-	} else if e.ContactNext != topo.NoSwitch {
+		return true
+	}
+	if e.ContactNext != topo.NoSwitch {
 		if d.Hops == 0 {
 			n.fwd.stripe(d.Conn).dropHops.Add(1)
-			n.obs.dataDropHops.Inc()
 			n.recordData(obs.RecDropHops, d.Conn, d.Src, d.Seq, f.From)
 			return
 		}
 		if err := lsa.PatchDataForward(buf, n.id, d.Hops-1); err != nil {
 			return
 		}
-		var err error
-		if n.ownedTr != nil {
-			err = n.ownedTr.SendOwned(e.ContactNext, buf)
-			consumed = true
-		} else {
-			err = n.tr.Send(e.ContactNext, buf)
-		}
-		if err != nil {
+		if err := n.tr.SendOwned(e.ContactNext, buf); err != nil {
 			n.obs.sendErrs.Inc()
 			n.tracef("sw%d: data relay to contact %d: %v", n.id, e.ContactNext, err)
 		} else {
 			n.fwd.stripe(d.Conn).forwarded.Add(1)
-			n.obs.dataFwd.Inc()
 			n.recordData(obs.RecForward, d.Conn, d.Src, d.Seq, f.From)
 		}
-	} else {
-		n.fwd.stripe(d.Conn).dropNoRoute.Add(1)
-		n.obs.dataDropNoRoute.Inc()
-		n.recordData(obs.RecDropNoRoute, d.Conn, d.Src, d.Seq, f.From)
+		return true
 	}
-	return consumed
+	n.fwd.stripe(d.Conn).dropNoRoute.Add(1)
+	n.recordData(obs.RecDropNoRoute, d.Conn, d.Src, d.Seq, f.From)
+	return false
 }

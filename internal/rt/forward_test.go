@@ -12,9 +12,11 @@ import (
 	"dgmc/internal/topo"
 )
 
-// stubTransport satisfies Transport with an atomic send counter and a Recv
-// that blocks until Close, so a node's goroutine cluster idles while tests
-// drive handleData/SendData directly.
+// stubTransport satisfies Transport with an atomic send counter and
+// receives that block until Close, so a node's goroutine cluster idles
+// while tests drive handleData/SendData directly. SendOwned counts like
+// Send and does not recycle the buffer, so a test may feed one frame
+// through the production move path again and again.
 type stubTransport struct {
 	sends  atomic.Uint64
 	closed chan struct{}
@@ -25,8 +27,11 @@ func newStubTransport() *stubTransport {
 	return &stubTransport{closed: make(chan struct{})}
 }
 
-func (s *stubTransport) Send(topo.SwitchID, []byte) error { s.sends.Add(1); return nil }
-func (s *stubTransport) Recv() ([]byte, error)            { <-s.closed; return nil, ErrClosed }
+func (s *stubTransport) Send(topo.SwitchID, []byte) error      { s.sends.Add(1); return nil }
+func (s *stubTransport) SendOwned(topo.SwitchID, []byte) error { s.sends.Add(1); return nil }
+func (s *stubTransport) Recv() ([]byte, error)                 { <-s.closed; return nil, ErrClosed }
+func (s *stubTransport) RecvBatch([][]byte) ([][]byte, error)  { <-s.closed; return nil, ErrClosed }
+func (s *stubTransport) Release(int)                           {}
 func (s *stubTransport) Close() error {
 	s.once.Do(func() { close(s.closed) })
 	return nil
@@ -93,6 +98,7 @@ func TestHandleDataZeroAlloc(t *testing.T) {
 	const hops = 8
 	buf := dataBuf(fwdConn, 0, 0, 7, hops, make([]byte, 32))
 	var f lsa.Frame
+	moves := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		// Each pass relays the frame, decrementing the in-place hop budget;
 		// restore From and Hops so every iteration sees the same packet.
@@ -102,10 +108,15 @@ func TestHandleDataZeroAlloc(t *testing.T) {
 		if err := lsa.DecodeFrameInto(&f, buf); err != nil {
 			t.Fatal(err)
 		}
-		n.handleData(buf, &f)
+		if n.handleData(buf, &f) {
+			moves++
+		}
 	})
 	if allocs != 0 {
 		t.Fatalf("handleData allocates %.1f times per frame, budget is 0", allocs)
+	}
+	if moves == 0 {
+		t.Fatal("the relay never moved the frame into the transport")
 	}
 	s := n.ForwardStats()
 	if s.Delivered == 0 || delivered.Load() == 0 {

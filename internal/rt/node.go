@@ -95,14 +95,9 @@ type NodeConfig struct {
 // (drain the inbox, run ReceiveLSA batches), an event loop (run
 // EventHandler per injected local event), and wall-clock resync timers.
 type Node struct {
-	id    topo.SwitchID
-	epoch uint64
-	tr    Transport
-	// ownedTr is tr's ownership-transfer fast path when it has one (cached
-	// here so the per-frame forward path pays no interface assertion): the
-	// last link of a relay fan-out moves the received buffer into the
-	// destination queue instead of copying it.
-	ownedTr   ownedSender
+	id        topo.SwitchID
+	epoch     uint64
+	tr        Transport
 	neighbors []topo.SwitchID
 	logf      func(format string, args ...any)
 	tracer    core.Tracer
@@ -174,7 +169,6 @@ type Node struct {
 	busy       atomic.Int64
 	activity   atomic.Uint64
 	decodeErrs atomic.Uint64
-	installs   atomic.Uint64
 
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -219,9 +213,6 @@ func NewNode(cfg NodeConfig, tr Transport) (*Node, error) {
 		resyncAfter:  cfg.ResyncTimeout,
 		timers:       make(map[*time.Timer]struct{}),
 		closed:       make(chan struct{}),
-	}
-	if os, ok := tr.(ownedSender); ok {
-		n.ownedTr = os
 	}
 	n.inCond = sync.NewCond(&n.inMu)
 	if cfg.FlightRecords > 0 {
@@ -418,82 +409,45 @@ func (n *Node) Close() error {
 
 // --- goroutine cluster ---
 
-// batchTransport is the optional burst-receive fast path of Transport: one
-// call drains the transport's whole backlog, amortizing the queue lock
-// over the burst, and the consumer settles each frame's in-flight
-// accounting with Release as it is handled. ChanFabric ports implement
-// it; datagram transports (UDP) deliver one frame per call and take the
-// plain path.
-type batchTransport interface {
-	RecvBatch(recycle [][]byte) ([][]byte, error)
-	Release(n int)
-}
-
-// ownedSender is the optional ownership-transfer fast path of Transport:
-// SendOwned moves buf — which must come from the frame pool and belong
-// exclusively to the caller — into the destination without copying it. The
-// callee consumes buf on every outcome (queued, dropped by partition or
-// loss, destination closed); the caller must not touch it afterwards. The
-// forward path uses it for the last link of a relay fan-out: the received
-// frame was already patched in place for relaying, and every link but the
-// last needs its own copy — the final one can hand the original over,
-// saving one frame-sized copy plus a pool round-trip per relay hop.
-type ownedSender interface {
-	SendOwned(to topo.SwitchID, buf []byte) error
-}
-
 // recvLoop is the transport receive loop: decode each frame, suppress
 // duplicate floods, re-forward (store-and-forward flooding), and enqueue
-// the decoded payload for the LSA loop. Transports that can hand over a
-// burst in one call get it drained under a single busy window.
+// the decoded payload for the LSA loop. Each RecvBatch burst is handled
+// under a single busy window.
 func (n *Node) recvLoop() {
 	defer n.wg.Done()
-	if bt, ok := n.tr.(batchTransport); ok {
-		var batch [][]byte
-		var err error
-		for {
-			batch, err = bt.RecvBatch(batch)
-			if err != nil {
-				return
-			}
-			// busy covers the burst so the idle check can't see a gap
-			// between frames; each frame leaves the fabric's in-flight
-			// count only once it has actually been handled, so InFlight
-			// never undercounts (a drain loop waiting for zero stays exact)
-			// and closed-loop senders see consumption as it happens rather
-			// than in burst-sized steps.
-			n.busy.Add(1)
-			for _, buf := range batch {
-				if !n.handleFrame(buf) {
-					putBuf(buf)
-				}
-				bt.Release(1)
-			}
-			n.busy.Add(-1)
-		}
-	}
+	var batch [][]byte
+	var err error
 	for {
-		buf, err := n.tr.Recv()
+		batch, err = n.tr.RecvBatch(batch)
 		if err != nil {
 			return
 		}
-		if !n.handleFrame(buf) {
-			// Safe to recycle: every payload decoder copies out of the frame,
-			// so nothing enqueued for the LSA loop aliases buf.
-			putBuf(buf)
+		// busy covers the burst so the idle check can't see a gap between
+		// frames; each frame leaves the fabric's in-flight count only once
+		// it has actually been handled, so InFlight never undercounts (a
+		// drain loop waiting for zero stays exact) and closed-loop senders
+		// see consumption as it happens rather than in burst-sized steps.
+		n.busy.Add(1)
+		for _, buf := range batch {
+			if !n.handleFrame(buf) {
+				// Safe to recycle: every payload decoder copies out of the
+				// frame, so nothing enqueued for the LSA loop aliases buf.
+				putBuf(buf)
+			}
+			n.tr.Release(1)
 		}
+		n.busy.Add(-1)
 	}
 }
 
 // handleFrame processes one received frame. consumed reports that buf's
-// ownership moved into the transport (the relay fast path) — the caller
-// recycles the buffer only when it is false.
+// ownership moved into the transport (a data relay's last link) — the
+// caller recycles the buffer only when it is false.
 func (n *Node) handleFrame(buf []byte) (consumed bool) {
 	defer n.activity.Add(1)
 	var f lsa.Frame
 	if err := lsa.DecodeFrameInto(&f, buf); err != nil {
 		n.decodeErrs.Add(1)
-		n.obs.decodeErrs.Inc()
 		n.tracef("sw%d: drop frame: %v", n.id, err)
 		return
 	}
@@ -532,7 +486,6 @@ func (n *Node) handleFrame(buf []byte) (consumed bool) {
 		mc, nm, err := lsa.Unmarshal(f.Payload)
 		if err != nil {
 			n.decodeErrs.Add(1)
-			n.obs.decodeErrs.Inc()
 			n.tracef("sw%d: drop LSA from %d: %v", n.id, f.Origin, err)
 			return
 		}
@@ -792,8 +745,9 @@ func (n *Node) SelfNudge(conn lsa.ConnID) {
 	n.enqueue(core.ResyncNudge{Conn: conn})
 }
 
-// NoteInstall implements core.Host.
-func (n *Node) NoteInstall() { n.installs.Add(1) }
+// NoteInstall implements core.Host. The machine's Metrics.Installs is the
+// count.
+func (n *Node) NoteInstall() {}
 
 // ForwardingChanged implements core.Host: mark the FIB stale. The machine
 // calls this mid-mutation (mu held by the caller driving it), so the actual

@@ -20,7 +20,6 @@ type nodeObs struct {
 	// transport plane
 	framesRecv *obs.Counter // flood frames accepted (first delivery)
 	framesDup  *obs.Counter // duplicate flood deliveries suppressed
-	decodeErrs *obs.Counter // frames or payloads dropped as undecodable
 	floodsOrig *obs.Counter // floods this node originated
 	floodsFwd  *obs.Counter // store-and-forward relays of others' floods
 	unicasts   *obs.Counter // resync unicasts sent
@@ -32,17 +31,6 @@ type nodeObs struct {
 	eventsIn  *obs.Counter   // local events handled
 	eventDur  *obs.Histogram // seconds per event, machine lock held
 	resyncTmr *obs.Counter   // resync timer firings
-
-	// data plane (per-packet sites: all handles cached, nil-safe, zero
-	// allocation on the forward hot path)
-	dataOrig        *obs.Counter // payload frames originated locally
-	dataFwd         *obs.Counter // payload frames relayed along the FIB
-	dataDeliv       *obs.Counter // payloads delivered to the local application
-	dataDropNoEntry *obs.Counter // drops: no FIB entry for the connection
-	dataDropNoRoute *obs.Counter // drops: no fan-out and no contact route
-	dataDropHops    *obs.Counter // drops: hop budget exhausted
-	dataDropLoop    *obs.Counter // drops: own frame looped back
-	fibCompiles     *obs.Counter // FIB recompilations (atomic table swaps)
 }
 
 // newNodeObs registers the node's series (labeled by switch) and returns the
@@ -57,7 +45,6 @@ func newNodeObs(reg *obs.Registry, id int) nodeObs {
 		sw:         sw,
 		framesRecv: reg.Counter("dgmc_frames_received_total", sw),
 		framesDup:  reg.Counter("dgmc_frames_duplicate_suppressed_total", sw),
-		decodeErrs: reg.Counter("dgmc_frame_decode_errors_total", sw),
 		floodsOrig: reg.Counter("dgmc_floods_originated_total", sw),
 		floodsFwd:  reg.Counter("dgmc_floods_forwarded_total", sw),
 		unicasts:   reg.Counter("dgmc_unicasts_sent_total", sw),
@@ -67,15 +54,6 @@ func newNodeObs(reg *obs.Registry, id int) nodeObs {
 		eventsIn:   reg.Counter("dgmc_local_events_total", sw),
 		eventDur:   reg.Histogram("dgmc_event_handle_seconds", obs.DurationBuckets, sw),
 		resyncTmr:  reg.Counter("dgmc_resync_timer_fires_total", sw),
-
-		dataOrig:        reg.Counter("dgmc_data_frames_originated_total", sw),
-		dataFwd:         reg.Counter("dgmc_data_frames_forwarded_total", sw),
-		dataDeliv:       reg.Counter("dgmc_data_delivered_total", sw),
-		dataDropNoEntry: reg.Counter("dgmc_data_drops_total", sw, obs.L("reason", "no-entry")),
-		dataDropNoRoute: reg.Counter("dgmc_data_drops_total", sw, obs.L("reason", "no-route")),
-		dataDropHops:    reg.Counter("dgmc_data_drops_total", sw, obs.L("reason", "hop-budget")),
-		dataDropLoop:    reg.Counter("dgmc_data_drops_total", sw, obs.L("reason", "loop")),
-		fibCompiles:     reg.Counter("dgmc_fib_compiles_total", sw),
 	}
 }
 
@@ -102,13 +80,16 @@ func (o *nodeObs) mcReceived(conn lsa.ConnID) {
 }
 
 // registerMachineFuncs exports the protocol machine's counters (guarded by
-// n.mu) as scrape-time callbacks: the machine's hot path is untouched and
-// each scrape briefly takes the node lock, exactly like Node.Metrics().
+// n.mu) and the node's own data-plane, FIB and decode counters as
+// scrape-time callbacks: the hot paths are untouched and each machine
+// scrape briefly takes the node lock, exactly like Node.Metrics().
 //
 // The registry deduplicates func-instruments by (name, labels) and keeps the
 // first closure, so a restarted switch cannot re-register its series — the
 // closures instead follow the succession chain (Node.live) to whatever
-// incarnation currently serves the switch ID.
+// incarnation currently serves the switch ID. The node's counters die with
+// each incarnation, so their series sum along the whole chain and stay
+// monotonic across crash–restart.
 func (n *Node) registerMachineFuncs(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -164,6 +145,42 @@ func (n *Node) registerMachineFuncs(reg *obs.Registry) {
 	reg.GaugeFunc("dgmc_fib_entries", func() float64 {
 		return float64(n.live().fib.Load().Size())
 	}, sw)
+
+	chain := func(pick func(*Node) uint64) func() float64 {
+		return func() float64 {
+			var sum uint64
+			for cur := n; cur != nil; cur = cur.succ.Load() {
+				sum += pick(cur)
+			}
+			return float64(sum)
+		}
+	}
+	fwd := func(pick func(ForwardStats) uint64) func() float64 {
+		return chain(func(cur *Node) uint64 { return pick(cur.ForwardStats()) })
+	}
+	reg.CounterFunc("dgmc_data_frames_originated_total",
+		fwd(func(s ForwardStats) uint64 { return s.Originated }), sw)
+	reg.CounterFunc("dgmc_data_frames_forwarded_total",
+		fwd(func(s ForwardStats) uint64 { return s.Forwarded }), sw)
+	reg.CounterFunc("dgmc_data_delivered_total",
+		fwd(func(s ForwardStats) uint64 { return s.Delivered }), sw)
+	for _, d := range dropReasons {
+		reg.CounterFunc("dgmc_data_drops_total", fwd(d.pick), sw, obs.L("reason", d.reason))
+	}
+	reg.CounterFunc("dgmc_fib_compiles_total", chain((*Node).FIBCompiles), sw)
+	reg.CounterFunc("dgmc_frame_decode_errors_total", chain((*Node).DecodeErrors), sw)
+}
+
+// dropReasons is the data plane's drop taxonomy as exported: the reason
+// label and the ForwardStats field it reads.
+var dropReasons = []struct {
+	reason string
+	pick   func(ForwardStats) uint64
+}{
+	{"no-entry", func(s ForwardStats) uint64 { return s.DropNoEntry }},
+	{"no-route", func(s ForwardStats) uint64 { return s.DropNoRoute }},
+	{"hop-budget", func(s ForwardStats) uint64 { return s.DropHops }},
+	{"loop", func(s ForwardStats) uint64 { return s.DropLoop }},
 }
 
 // registerConnSeries exports per-connection delivery series for every
@@ -198,15 +215,7 @@ func (o *nodeObs) connForwardSeries(n *Node, conn lsa.ConnID) {
 		sel(func(s ForwardStats) uint64 { return s.Forwarded }), o.sw, cl)
 	o.reg.CounterFunc("dgmc_conn_data_delivered_total",
 		sel(func(s ForwardStats) uint64 { return s.Delivered }), o.sw, cl)
-	for _, d := range []struct {
-		reason string
-		pick   func(ForwardStats) uint64
-	}{
-		{"no-entry", func(s ForwardStats) uint64 { return s.DropNoEntry }},
-		{"no-route", func(s ForwardStats) uint64 { return s.DropNoRoute }},
-		{"hop-budget", func(s ForwardStats) uint64 { return s.DropHops }},
-		{"loop", func(s ForwardStats) uint64 { return s.DropLoop }},
-	} {
+	for _, d := range dropReasons {
 		o.reg.CounterFunc("dgmc_conn_data_drops_total", sel(d.pick),
 			o.sw, cl, obs.L("reason", d.reason))
 	}

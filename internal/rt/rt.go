@@ -22,20 +22,36 @@ var ErrClosed = errors.New("rt: transport closed")
 
 // Transport is one switch's attachment to the fabric: a point-to-point
 // datagram service to each direct neighbor. Implementations must be safe
-// for concurrent use — the node's receive loop blocks in Recv while
-// protocol goroutines call Send.
+// for concurrent use — the node's receive loop blocks in RecvBatch while
+// protocol goroutines send.
 //
-// Send must not retain or mutate data after it returns (callers reuse and
-// patch buffers); Recv must return a buffer the caller owns. Both return
-// ErrClosed (possibly wrapped) after Close, which must also unblock any
-// goroutine waiting in Recv.
+// Ownership: Send must not retain or mutate data after it returns (callers
+// reuse and patch buffers); SendOwned takes buf over on every outcome
+// (queued, dropped by partition or loss, destination closed), so the caller
+// must not touch it afterwards. Received frames belong to the caller. The
+// sends and receives return ErrClosed (possibly wrapped) after Close, which
+// must also unblock any goroutine waiting in Recv or RecvBatch.
 type Transport interface {
-	// Send queues one frame for delivery to the named switch. Delivery is
-	// best-effort: a lossy fabric (UDP under pressure) may drop frames,
-	// which is exactly what the protocol's gap recovery exists for.
+	// Send queues a copy of one frame for delivery to the named switch.
+	// Delivery is best-effort: a lossy fabric (UDP under pressure) may drop
+	// frames, which is exactly what the protocol's gap recovery exists for.
 	Send(to topo.SwitchID, data []byte) error
+	// SendOwned is Send for a frame-pool buffer the caller hands over: the
+	// relay's last outgoing link moves its already-patched frame instead of
+	// copying it. An in-process fabric queues buf itself; a socket writes it
+	// and recycles it.
+	SendOwned(to topo.SwitchID, buf []byte) error
 	// Recv blocks until a frame arrives and returns it.
 	Recv() ([]byte, error)
-	// Close detaches from the fabric and unblocks Recv.
+	// RecvBatch blocks until at least one frame arrives and returns every
+	// frame the transport can hand over at once (a datagram socket: one).
+	// recycle is the slice the previous call returned (or nil); its backing
+	// array is reused. The node's receive loop calls Release(1) as it
+	// finishes each returned frame, so a fabric that counts frames in
+	// flight only stops counting a frame once it has been handled.
+	RecvBatch(recycle [][]byte) ([][]byte, error)
+	// Release settles n frames from RecvBatch as handled.
+	Release(n int)
+	// Close detaches from the fabric and unblocks Recv and RecvBatch.
 	Close() error
 }

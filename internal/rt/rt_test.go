@@ -241,4 +241,29 @@ func TestUDPTransportPointToPoint(t *testing.T) {
 	if err := fab.Transport(0).Send(9, msg); err == nil {
 		t.Fatal("send to unknown peer accepted")
 	}
+
+	// SendOwned takes a pooled buffer and delivers it like Send; RecvBatch
+	// hands one datagram per call back in the recycled slice.
+	owned := append(getBuf(len(msg)), msg...)
+	if err := fab.Transport(0).SendOwned(1, owned); err != nil {
+		t.Fatal(err)
+	}
+	recycle := make([][]byte, 0, 4)
+	batch, err := fab.Transport(1).RecvBatch(recycle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(batch) != 1 || string(batch[0]) != string(msg) {
+		t.Fatalf("RecvBatch = %q, want one %q", batch, msg)
+	}
+	if &batch[0] != &recycle[:1][0] {
+		t.Fatal("RecvBatch did not reuse the recycled slice")
+	}
+	fab.Transport(1).Release(len(batch))
+	if err := fab.Transport(1).Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fab.Transport(1).RecvBatch(batch); err != ErrClosed {
+		t.Fatalf("RecvBatch after Close = %v, want ErrClosed", err)
+	}
 }

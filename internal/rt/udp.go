@@ -81,6 +81,27 @@ func (t *UDPTransport) Recv() ([]byte, error) {
 	return buf[:n], nil
 }
 
+// SendOwned implements Transport: a socket write copies into the kernel, so
+// the move is Send followed by recycling buf.
+func (t *UDPTransport) SendOwned(to topo.SwitchID, buf []byte) error {
+	err := t.Send(to, buf)
+	putBuf(buf)
+	return err
+}
+
+// RecvBatch implements Transport: one datagram per call, returned in the
+// recycled slice.
+func (t *UDPTransport) RecvBatch(recycle [][]byte) ([][]byte, error) {
+	buf, err := t.Recv()
+	if err != nil {
+		return nil, err
+	}
+	return append(recycle[:0], buf), nil
+}
+
+// Release implements Transport; a socket keeps no in-flight count.
+func (t *UDPTransport) Release(int) {}
+
 // Close implements Transport.
 func (t *UDPTransport) Close() error {
 	t.closed.Store(true)

@@ -2,10 +2,10 @@
 // modest audited stream (hundreds of packets, one sender), Blast exists to
 // find the fabric's ceiling: many goroutines per source originating batched
 // payloads as fast as the runtime accepts them, with per-source and
-// cluster-wide packets/sec accounting. It drives the same Sender surface as
-// Pump, so the ledger's exactly-once audit still composes at small scale
-// (the race smoke), while full-rate runs skip the ledger entirely and read
-// only atomic counters.
+// cluster-wide packets/sec accounting. It records into the same Ledger as
+// Pump, so the exactly-once audit still composes at small scale (the race
+// smoke), while full-rate runs skip the ledger entirely and read only
+// atomic counters.
 
 package workload
 
@@ -20,13 +20,12 @@ import (
 	"dgmc/internal/topo"
 )
 
-// BatchSender is the batched fast path of Sender: originate count copies of
-// payload on conn at switch sw in one call, amortizing the per-send setup
-// (FIB lookup, frame encode, buffer rental) across the batch. It returns
-// the first data sequence of the contiguous range it reserved and how many
-// packets were actually sent. rt.Cluster satisfies it.
+// BatchSender is what Blast drives: SendDataBatch originates count copies
+// of payload on conn at switch sw in one call, amortizing the per-send
+// setup (FIB lookup, frame encode, buffer rental) across the batch. It
+// returns the first data sequence of the contiguous range it reserved and
+// how many packets were actually sent. rt.Cluster satisfies it.
 type BatchSender interface {
-	Sender
 	SendDataBatch(sw topo.SwitchID, conn lsa.ConnID, payload []byte, count int) (firstSeq uint64, sent int, err error)
 }
 
@@ -56,8 +55,7 @@ type BlastConfig struct {
 	SendersPerSource int
 	// PayloadSize is the app-payload size in bytes (default 64).
 	PayloadSize int
-	// Batch is the number of packets per SendDataBatch call (default 32;
-	// forced to 1 when the sender does not implement BatchSender).
+	// Batch is the number of packets per SendDataBatch call (default 32).
 	Batch int
 	// Packets, when positive, selects budget mode: the total packet count
 	// split across all senders.
@@ -131,7 +129,7 @@ const (
 // window's figures. Send errors count as refused, exactly as in Pump; they
 // do not abort the run (a source can transiently lose its entitlement
 // mid-churn and regain it).
-func Blast(s Sender, cfg BlastConfig) (BlastResult, error) {
+func Blast(s BatchSender, cfg BlastConfig) (BlastResult, error) {
 	if len(cfg.Sources) == 0 {
 		return BlastResult{}, fmt.Errorf("workload: blast needs sources")
 	}
@@ -149,10 +147,6 @@ func Blast(s Sender, cfg BlastConfig) (BlastResult, error) {
 	}
 	if cfg.Measure <= 0 {
 		cfg.Measure = time.Second
-	}
-	bs, batched := s.(BatchSender)
-	if !batched {
-		cfg.Batch = 1
 	}
 
 	payload := make([]byte, cfg.PayloadSize)
@@ -226,27 +220,13 @@ func Blast(s Sender, cfg BlastConfig) (BlastResult, error) {
 					}
 				}
 			}
-			if batched && n > 1 {
-				first, got, err := bs.SendDataBatch(src, cfg.Conn, payload, n)
-				record(srcIdx, first, got)
-				if got < n {
-					refuse(n - got)
-					if err != nil {
-						// The whole remainder was refused; in budget mode the
-						// packets still count against the budget (they were
-						// claimed), matching Pump's refused accounting.
-						continue
-					}
-				}
-			} else {
-				for i := 0; i < n; i++ {
-					seq, err := s.SendData(src, cfg.Conn, payload)
-					if err != nil {
-						refuse(1)
-						continue
-					}
-					record(srcIdx, seq, 1)
-				}
+			// The error only explains a refusal, which got < n reports.
+			first, got, _ := s.SendDataBatch(src, cfg.Conn, payload, n)
+			record(srcIdx, first, got)
+			if got < n {
+				// Refused packets still count against the budget (they were
+				// claimed), matching Pump's refused accounting.
+				refuse(n - got)
 			}
 		}
 	}

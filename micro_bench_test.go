@@ -1,7 +1,9 @@
 // Micro-benchmarks for the protocol's hot paths: one machine step, frame
 // encode/decode, flood fan-out, and topology computation. Where
 // bench_test.go regenerates the paper's figures end to end, these isolate
-// the unit costs that compose them; scripts/bench.sh records both as JSON.
+// the unit costs that compose them. Run them with
+// `go test -run '^$' -bench . -benchmem .`; perfbench/run.sh is the
+// repository's end-to-end benchmark.
 package dgmc_test
 
 import (
